@@ -98,8 +98,9 @@ chaos:
 chaos-short:
 	$(GO) test ./internal/amt -run TestChaosProfiles -short -count=1 -timeout 10m
 
-# Crash-recovery chaos harness: kill one of four localities at 25/50/75%
-# DAG progress (plus the combined crash-on-faulty-wire profile) on every
+# Crash-recovery chaos harness on the multi-process path (core.DistRun over
+# in-process unix-socket clusters): kill one of four ranks at 25/50/75% of
+# its local progress (plus a lossy-wire case under the 50% kill) on every
 # workload, gated at 1e-12 against the fault-free potentials. The full
 # matrix is cheap enough to run in ci; the race job picks the crash tests
 # up via ./internal/amt ./internal/core with the shrunk -short shapes.

@@ -21,7 +21,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/amt"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -620,34 +619,6 @@ func BenchmarkEvaluateHotPathBatched(b *testing.B) {
 			hotPathLoop(b, p, pe, q)
 		})
 	}
-}
-
-// BenchmarkEvaluateHotPathDetector is BenchmarkEvaluateHotPath with the
-// heartbeat failure detector armed and no crash injected: the cost of
-// being crash-recoverable when nothing goes wrong. The delta against
-// BenchmarkEvaluateHotPath is the recovery tax — the per-edge applied-bit
-// bookkeeping, the pair-locked delivery, and the detector goroutine —
-// which scripts/bench.sh tracks run over run.
-func BenchmarkEvaluateHotPathDetector(b *testing.B) {
-	const n = 50000
-	p := cachedPlan(b, "hotpath", func() *core.Plan {
-		sp := points.Generate(points.Cube, n, 1)
-		tp := points.Generate(points.Cube, n, 2)
-		pl, err := core.NewPlan(sp, tp, kernel.NewLaplace(kernel.OrderForDigits(3)), core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return pl
-	})
-	q := points.Charges(n, 3)
-	pe, err := p.NewParallelEvaluation(core.ExecOptions{
-		Workers:  2,
-		Detector: &amt.FailureDetectorConfig{},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hotPathLoop(b, p, pe, q)
 }
 
 // BenchmarkDirectSum measures the O(N^2) baseline so the FMM crossover is

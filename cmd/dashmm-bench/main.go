@@ -63,22 +63,23 @@ func main() {
 		slowDelay = flag.Duration("slow-delay", 0, "with -real: extra delay per parcel to/from -slow-rank")
 		faultSeed = flag.Int64("fault-seed", 1, "with -real: fault RNG seed")
 
-		// Crash-recovery knobs for -real runs: arm the heartbeat failure
-		// detector and optionally kill a locality mid-run; the recovery
-		// counters (ranks killed, subgraph nodes re-executed, recovery wall
-		// time) are reported after the run.
-		detect   = flag.Bool("detect", false, "with -real: arm the heartbeat failure detector")
-		killRank = flag.Int("kill-rank", -1, "with -real: locality to crash mid-run (implies -detect); with -net: worker rank to SIGKILL")
-		killAt   = flag.Float64("kill-at", 0.5, "with -real: DAG progress fraction at which -kill-rank dies")
-
 		// Multi-process mode: -net forks -locs real OS processes joined over
 		// a socket mesh; -kill-rank then SIGKILLs that worker process at
-		// -kill-at of its local progress and the run must still verify.
+		// -kill-at of its local progress and the run must still verify. The
+		// recovery counters (ranks killed, subgraph nodes re-executed,
+		// recovery wall time) are reported after the run.
+		killRank = flag.Int("kill-rank", -1, "with -real -net: worker rank to SIGKILL mid-run")
+		killAt   = flag.Float64("kill-at", 0.5, "with -real -net: local progress fraction at which -kill-rank dies")
 		netMode  = flag.String("net", "", "with -real: run -locs separate processes over this network (tcp|unix)")
 		distRank = flag.Int("dist-rank", -1, "internal: rank of a forked -net worker process")
 		distAddr = flag.String("dist-addr", "", "internal: coordinator address for a forked -net worker")
 	)
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) {
+		if (f.Name == "kill-rank" || f.Name == "kill-at") && *netMode == "" {
+			log.Fatalf("-%s requires -net: rank crashes are only modeled by multi-process runs", f.Name)
+		}
+	})
 	if !*fig4 && !*fig5 && !*real {
 		*fig4, *fig5 = true, true
 	}
@@ -109,15 +110,7 @@ func main() {
 				SlowRank: *slowRank, SlowDelay: *slowDelay,
 			}
 		}
-		var det *amt.FailureDetectorConfig
-		if *detect || *killRank >= 0 {
-			det = &amt.FailureDetectorConfig{}
-		}
-		var crash []core.CrashPlan
-		if *killRank >= 0 {
-			crash = []core.CrashPlan{{Rank: *killRank, At: *killAt}}
-		}
-		runReal(plan, *n, *traceOut, *locs, fault, det, crash)
+		runReal(plan, *n, *traceOut, *locs, fault)
 	}
 
 	cm := sim.PaperCostModel()
@@ -298,8 +291,8 @@ func runDistCoordinator(plan *core.Plan, n int, network string, locs, killRank i
 	fmt.Printf("# delivery: sent=%d acked=%d retried=%d deadline-exceeded=%d dropped=%d\n",
 		ts.Sent, ts.Acked, ts.Retried, ts.DeadlineExceeded, ts.Dropped)
 	r := rep.Recovery
-	fmt.Printf("# recovery: ranks-killed=%d subgraph-nodes-reexecuted=%d edges-replayed=%d\n",
-		r.RanksKilled, r.NodesRebuilt, r.EdgesReplayed)
+	fmt.Printf("# recovery: ranks-killed=%d subgraph-nodes-reexecuted=%d edges-replayed=%d stale-dropped=%d recovery-wall=%v\n",
+		r.RanksKilled, r.NodesRebuilt, r.EdgesReplayed, r.StaleDropped, r.RecoveryWall)
 
 	want, err := plan.EvaluateSequential(q)
 	if err != nil {
@@ -370,8 +363,7 @@ func simulate(g *dag.Graph, cm sim.CostModel, cores int) (*trace.Utilization, si
 // (optionally split across simulated localities with an injected-fault
 // parcel wire) and prints measured utilization, per-op averages, and the
 // transport counters.
-func runReal(plan *core.Plan, n int, traceOut string, locs int, fault *amt.FaultProfile,
-	det *amt.FailureDetectorConfig, crash []core.CrashPlan) {
+func runReal(plan *core.Plan, n int, traceOut string, locs int, fault *amt.FaultProfile) {
 	if locs < 1 {
 		locs = 1
 	}
@@ -383,7 +375,6 @@ func runReal(plan *core.Plan, n int, traceOut string, locs int, fault *amt.Fault
 	tr := trace.New(locs * w)
 	_, rep, err := plan.Evaluate(q, core.ExecOptions{
 		Localities: locs, Workers: w, Tracer: tr, Fault: fault,
-		Detector: det, Crash: crash,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -408,11 +399,6 @@ func runReal(plan *core.Plan, n int, traceOut string, locs int, fault *amt.Fault
 	ts := rep.Runtime.Transport
 	fmt.Printf("# transport: sent=%d retried=%d acked=%d delivered=%d deduped=%d dropped=%d duplicated=%d deadline-exceeded=%d\n",
 		ts.Sent, ts.Retried, ts.Acked, ts.Delivered, ts.Deduped, ts.Dropped, ts.Duplicated, ts.DeadlineExceeded)
-	if det != nil {
-		r := rep.Recovery
-		fmt.Printf("# recovery: ranks-killed=%d recoveries=%d subgraph-nodes-reexecuted=%d edges-replayed=%d stale-dropped=%d recovery-wall=%v\n",
-			r.RanksKilled, r.Recoveries, r.NodesRebuilt, r.EdgesReplayed, r.StaleDropped, r.RecoveryWall)
-	}
 	start, end := trace.Span(events)
 	u := trace.Analyze(events, totalW, 100, start, end)
 	var avg float64

@@ -64,7 +64,7 @@ func main() {
 	for _, c := range classes {
 		fmt.Printf("  %-5v %10d x %10.2f µs\n", dag.OpKind(c), counts[uint8(c)], avg[uint8(c)])
 	}
-	// Transport/recovery markers are zero-duration occurrence counters and
+	// Transport markers are zero-duration occurrence counters and
 	// are excluded from the averages; list their counts separately.
 	var markers []int
 	for c := range counts {

@@ -7,15 +7,15 @@
 //   - Parcels: active messages sent to a locality; delivering a parcel
 //     spawns a lightweight thread there (the parcel–thread equivalence of
 //     HPX-5). Sending a parcel is the only way to spawn work.
-//   - LCOs: local control objects — event-driven synchronization objects
-//     with input slots, a trigger predicate (input count), and dynamically
-//     registered continuations executed as tasks once triggered.
 //
-// The runtime executes in one OS process: the "network" between localities
-// is a delivery queue with modeled byte counts (and optional injected
-// latency), and the global address space is the process heap partitioned by
-// locality ownership. DESIGN.md records why this preserves the behaviours
-// the paper measures.
+// The LCOs (local control objects) of the paper are built on top of these
+// primitives by their one consumer, the DAG executor in internal/core: an
+// input counter plus a lock per node, whose last input spawns the node's
+// continuation. In-process the runtime hosts every locality and the
+// "network" between them is a delivery queue with modeled byte counts (and
+// optional injected latency); in wire mode (Config.World) it hosts one
+// locality of a multi-process cluster (cluster.go). DESIGN.md records why
+// this preserves the behaviours the paper measures.
 package amt
 
 import (
@@ -56,18 +56,12 @@ type Config struct {
 	// Tracer, if non-nil, receives transport fault events (retry, drop,
 	// duplicate, deadline-exceeded) as virtual trace events.
 	Tracer *trace.Tracer
-	// Detector, when non-nil, arms the heartbeat failure detector
-	// (failure.go): every locality emits periodic heartbeats, a monitor
-	// declares ranks dead after the configured missed-beat threshold, and
-	// registered OnFailure handlers run on each verdict. Required for
-	// Kill — a crash without a detector would hang the run.
-	Detector *FailureDetectorConfig
 	// World and Rank switch the runtime into wire mode (World > 1): this
 	// process hosts exactly one locality whose Rank is the global rank in
 	// [0, World), and remote parcels travel Transport as encoded frames
 	// (SendWire / DeliverWireFrame in wiredelivery.go) instead of closures.
 	// Membership — heartbeats, death verdicts — is the Cluster's job
-	// (cluster.go), not the in-process Detector's.
+	// (cluster.go).
 	World, Rank int
 }
 
@@ -85,23 +79,10 @@ type Runtime struct {
 	// allocation cost of New per evaluation.
 	gen int
 
-	// killable gates the (cheap) dead-locality checks on the spawn and
-	// scheduling hot paths; it is set only when a failure detector is
-	// configured, so detector-less runs pay nothing.
-	killable bool
 	// shuttingDown is set once Run has finished its final leftover sweep;
 	// from then on stray spawns (e.g. a parcel copy arriving after the
 	// delivery deadline settled it) are counted instead of silently lost.
 	shuttingDown atomic.Bool
-	// Failure detection state (failure.go).
-	det          *FailureDetectorConfig
-	handlers     []func(rank int)
-	lastBeat     []atomic.Int64 // per rank, UnixNano of the last heartbeat
-	deadDeclared []atomic.Bool  // per rank, detector verdict issued
-
-	// Global address space (gas.go).
-	mem *gas
-
 	// Parcel delivery engine over cfg.Transport (delivery.go).
 	net *delivery
 	// wireHandler consumes inbound data frames in wire mode
@@ -114,9 +95,6 @@ type Runtime struct {
 	tasksRun     atomic.Int64
 	stealsOK     atomic.Int64
 	stealsFailed atomic.Int64
-	ranksKilled  atomic.Int64
-	tasksDropped atomic.Int64 // tasks discarded from a crashed locality's queues
-	spawnsToDead atomic.Int64 // spawns rejected because the target rank is dead
 	lateSpawns   atomic.Int64 // spawns rejected because the runtime has shut down
 }
 
@@ -126,9 +104,6 @@ type Locality struct {
 	Rank    int
 	workers []*Worker
 	spawnRR atomic.Int64
-	// dead marks a crashed locality: its workers stop, its queues are
-	// dropped, and all spawns and parcels addressed to it are rejected.
-	dead atomic.Bool
 }
 
 // Worker is one scheduler thread of a locality.
@@ -177,13 +152,6 @@ func New(cfg Config) *Runtime {
 		ft.Tracer = cfg.Tracer
 	}
 	rt := &Runtime{cfg: cfg, done: make(chan struct{})}
-	if cfg.Detector != nil {
-		d := cfg.Detector.withDefaults()
-		rt.det = &d
-		rt.killable = true
-		rt.lastBeat = make([]atomic.Int64, cfg.Localities)
-		rt.deadDeclared = make([]atomic.Bool, cfg.Localities)
-	}
 	rt.net = newDelivery(rt, cfg.Transport, cfg.Delivery, cfg.Seed)
 	gid := 0
 	for l := 0; l < cfg.Localities; l++ {
@@ -219,6 +187,10 @@ func (rt *Runtime) TotalWorkers() int { return len(rt.locs) * rt.cfg.Workers }
 
 // Locality returns locality l.
 func (rt *Runtime) Locality(l int) *Locality { return rt.locs[l] }
+
+// TasksExecuted returns the number of tasks run so far. Watchdogs sample it
+// as a cheap progress indicator.
+func (rt *Runtime) TasksExecuted() int64 { return rt.tasksRun.Load() }
 
 // Locality returns the worker's locality.
 func (w *Worker) Locality() *Locality { return w.loc }
@@ -270,9 +242,7 @@ func (w *Worker) SpawnHigh(t Task) {
 // Spawn schedules a task on the locality, round-robin across its workers'
 // inboxes. It is the entry point for work arriving from outside any worker
 // (initial tasks, parcel delivery, cross-worker LCO continuations). A spawn
-// on a crashed locality is rejected and counted (the task is dropped, as
-// the parcel would be at a dead rank's NIC); a spawn after the runtime has
-// shut down is likewise counted rather than silently lost.
+// after the runtime has shut down is counted rather than silently lost.
 func (l *Locality) Spawn(t Task) { l.spawn(t, false) }
 
 // SpawnHigh is the priority variant of Spawn.
@@ -281,22 +251,13 @@ func (l *Locality) SpawnHigh(t Task) { l.spawn(t, true) }
 //dashmm:noalloc
 func (l *Locality) spawn(t Task, high bool) {
 	rt := l.rt
-	if rt.killable && l.dead.Load() {
-		rt.spawnsToDead.Add(1)
-		return
-	}
 	if rt.shuttingDown.Load() {
 		rt.lateSpawns.Add(1)
 		return
 	}
 	rt.pending.Add(1)
 	i := int(l.spawnRR.Add(1)-1) % len(l.workers)
-	if !l.workers[i].in.add(t, high) {
-		// The inbox closed between the dead check and the add (crash in
-		// flight): release the pending unit and count the drop.
-		rt.spawnsToDead.Add(1)
-		rt.finish()
-	}
+	l.workers[i].in.add(t, high)
 }
 
 // SendParcel sends an active-message parcel of the given payload size to
@@ -344,14 +305,12 @@ func (rt *Runtime) signalDone() {
 // returns basic execution statistics. A Runtime runs one generation at a
 // time: after Run returns, call Reset to re-arm it for another Run (the
 // long-lived-service path), or create a new one. Reset refuses the
-// configurations that are genuinely single-shot (armed failure detector,
-// unreliable transport, aborted runs).
+// configurations that are genuinely single-shot (unreliable transport,
+// aborted runs).
 func (rt *Runtime) Run(setup func()) Stats {
 	// Guard against an immediate empty run.
 	rt.pending.Add(1)
 	setup()
-
-	stopDet := rt.startDetector()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -368,7 +327,6 @@ func (rt *Runtime) Run(setup func()) Stats {
 	<-rt.done
 	close(stop)
 	wg.Wait()
-	stopDet()
 	// Shutdown drain: a task spawned between the pending counter reaching
 	// zero and the workers returning (a late parcel copy, a straggling
 	// continuation) may still sit in an inbox. Execute everything left,
@@ -396,8 +354,6 @@ func (rt *Runtime) StatsNow() Stats {
 		ParcelBytes:  rt.parcelBytes.Load(),
 		Steals:       rt.stealsOK.Load(),
 		FailedSteals: rt.stealsFailed.Load(),
-		RanksKilled:  rt.ranksKilled.Load(),
-		TasksDropped: rt.tasksDropped.Load() + rt.spawnsToDead.Load(),
 		LateSpawns:   rt.lateSpawns.Load(),
 		Transport:    rt.net.stats(),
 	}
@@ -420,8 +376,6 @@ func (rt *Runtime) Generation() int { return rt.gen }
 //
 //   - pending work remains (an aborted or stalled run — queues may hold
 //     tasks whose context is gone);
-//   - a failure detector is armed (a crashed locality's workers, inboxes
-//     and fencing tombstones are not revivable);
 //   - the transport is unreliable (the delivery layer's sequence windows
 //     and retransmission state encode one run's history).
 //
@@ -430,9 +384,6 @@ func (rt *Runtime) Generation() int { return rt.gen }
 func (rt *Runtime) Reset() error {
 	if n := rt.pending.Load(); n != 0 {
 		return fmt.Errorf("amt: Reset with %d pending units (aborted run?)", n)
-	}
-	if rt.det != nil {
-		return fmt.Errorf("amt: Reset on a detector-armed runtime")
 	}
 	if !rt.net.fastPath {
 		return fmt.Errorf("amt: Reset over an unreliable transport")
@@ -445,9 +396,6 @@ func (rt *Runtime) Reset() error {
 	rt.tasksRun.Store(0)
 	rt.stealsOK.Store(0)
 	rt.stealsFailed.Store(0)
-	rt.ranksKilled.Store(0)
-	rt.tasksDropped.Store(0)
-	rt.spawnsToDead.Store(0)
 	rt.lateSpawns.Store(0)
 	rt.gen++
 	return nil
@@ -468,9 +416,6 @@ func (rt *Runtime) sweepLeftovers() {
 	for {
 		n := 0
 		for _, loc := range rt.locs {
-			if rt.killable && loc.dead.Load() {
-				continue
-			}
 			for _, w := range loc.workers {
 				w.in.drain(w)
 				for {
@@ -497,10 +442,6 @@ func (w *Worker) run(stop <-chan struct{}) {
 	rt := w.loc.rt
 	backoff := time.Microsecond
 	for {
-		if rt.killable && w.loc.dead.Load() {
-			w.drainDead()
-			return
-		}
 		w.in.drain(w)
 		if t, ok := w.pop(); ok {
 			w.execute(t)
@@ -516,9 +457,9 @@ func (w *Worker) run(stop <-chan struct{}) {
 		rt.stealsFailed.Add(1)
 		select {
 		case <-stop:
-			// Shutdown, not crash: execute (never drop) anything that
-			// slipped into the inbox or deques after the last drain, so a
-			// task spawned during shutdown is not silently lost.
+			// Shutdown: execute (never drop) anything that slipped into
+			// the inbox or deques after the last drain, so a task spawned
+			// during shutdown is not silently lost.
 			w.in.drain(w)
 			for {
 				t, ok := w.pop()
@@ -533,30 +474,6 @@ func (w *Worker) run(stop <-chan struct{}) {
 		if backoff < 64*time.Microsecond {
 			backoff *= 2
 		}
-	}
-}
-
-// drainDead discards the queues of a crashed locality's worker: the inbox is
-// closed (racing with Kill's own close, which is idempotent — whichever close
-// wins observes the queued tasks and must settle them), and the lock-free
-// deques are owner-drained here. Each dropped task settles its pending unit
-// so the run can complete without the dead rank.
-func (w *Worker) drainDead() {
-	rt := w.loc.rt
-	if dropped := w.in.close(); dropped > 0 {
-		rt.tasksDropped.Add(int64(dropped))
-		for i := 0; i < dropped; i++ {
-			rt.finish()
-		}
-	}
-	for {
-		t, ok := w.pop()
-		if !ok {
-			return
-		}
-		_ = t
-		rt.tasksDropped.Add(1)
-		rt.finish()
 	}
 }
 
@@ -606,13 +523,8 @@ type Stats struct {
 	ParcelBytes  int64
 	Steals       int64
 	FailedSteals int64
-	// RanksKilled counts localities crashed during the run (injected or
-	// detector fencing); TasksDropped counts tasks discarded with them
-	// (queued work plus spawns addressed to a dead rank); LateSpawns counts
-	// spawns rejected after shutdown.
-	RanksKilled  int64
-	TasksDropped int64
-	LateSpawns   int64
+	// LateSpawns counts spawns rejected after shutdown.
+	LateSpawns int64
 	// Transport counts delivery-layer and wire activity (retries, dedups,
 	// injected faults). All-zero except Sent/Acked-style fields when the
 	// wire is unreliable; fully zero on the perfect fast path.
@@ -626,9 +538,8 @@ func (s Stats) String() string {
 		out += fmt.Sprintf(" transport[sent=%d retried=%d acked=%d delivered=%d deduped=%d dropped=%d duplicated=%d deadline=%d]",
 			t.Sent, t.Retried, t.Acked, t.Delivered, t.Deduped, t.Dropped, t.Duplicated, t.DeadlineExceeded)
 	}
-	if s.RanksKilled+s.TasksDropped+s.LateSpawns > 0 {
-		out += fmt.Sprintf(" crash[killed=%d dropped=%d late=%d]",
-			s.RanksKilled, s.TasksDropped, s.LateSpawns)
+	if s.LateSpawns > 0 {
+		out += fmt.Sprintf(" lateSpawns=%d", s.LateSpawns)
 	}
 	if t := s.Transport; t.BytesOut+t.BytesIn+t.Reconnects+t.HandshakeFailures > 0 {
 		out += fmt.Sprintf(" wire[msgs=%d bytesOut=%d bytesIn=%d reconnects=%d handshakeFails=%d]",

@@ -25,10 +25,9 @@ import (
 // on the data plane is a mesh of SocketTransport connections (socket.go),
 // while heartbeats keep flowing worker→rank 0 over the control star: rank 0
 // is the single membership authority, declaring a silent rank dead after
-// the missed-beat threshold (the same policy as the in-process detector in
-// failure.go, now over a real wire) and broadcasting the verdict, with an
-// epoch number, to every survivor. A worker that loses its control
-// connection treats the coordinator as dead and aborts.
+// the missed-beat threshold (FailureDetectorConfig) and broadcasting the
+// verdict, with an epoch number, to every survivor. A worker that loses its
+// control connection treats the coordinator as dead and aborts.
 //
 // A standing cluster (the serve worker pool) additionally supports
 // generation-based re-admission: a respawned worker presents a REJOIN
@@ -63,6 +62,24 @@ const (
 // off and retry the handshake instead of giving up.
 const retryPrefix = "retry: "
 
+// FailureDetectorConfig tunes the cluster's heartbeat failure detector.
+//
+// Every worker rank sends rank 0 a heartbeat each Interval over the control
+// star; rank 0 declares a rank dead once its last heartbeat is older than
+// Interval × MissedBeats. This is the classic heartbeat detector (the
+// fixed-threshold special case of a phi-accrual detector): it is complete (a
+// crashed rank stops beating and is eventually declared) but only
+// eventually accurate (a tight threshold misjudges a slow rank). False
+// positives are made harmless by fencing: a verdict severs the suspected
+// rank's wire endpoints on every survivor before anyone reassigns its work,
+// and a rank that learns it was declared dead fails its run.
+type FailureDetectorConfig struct {
+	// Interval between heartbeats.
+	Interval time.Duration
+	// MissedBeats before a silent rank is declared dead.
+	MissedBeats int
+}
+
 // ClusterConfig configures one rank's view of a multi-process cluster.
 type ClusterConfig struct {
 	// Rank is this process's locality id in [0, World); rank 0 coordinates.
@@ -75,8 +92,8 @@ type ClusterConfig struct {
 	// Stamp is the build/version + scenario stamp; every rank must present
 	// an identical stamp or the join is rejected.
 	Stamp string
-	// Heartbeat tunes the membership detector (zero value = the failure.go
-	// defaults scaled for a real wire: 25ms interval, 8 missed beats).
+	// Heartbeat tunes the membership detector (zero value = 25ms interval,
+	// 8 missed beats).
 	Heartbeat FailureDetectorConfig
 	// DialBase/DialMax bound the data-plane dial retry backoff (defaults
 	// 5ms and 500ms).
@@ -1143,6 +1160,10 @@ func (c *Cluster) broadcastCtl(kind uint16) {
 		cc.send(f)
 	}
 }
+
+// Closed is closed once Close has begun tearing the cluster down: a run on
+// this rank can no longer reach its peers and should fail fast.
+func (c *Cluster) Closed() <-chan struct{} { return c.quit }
 
 // Close tears the cluster down: listener, control connections, data-plane
 // peers, and every cluster goroutine is stopped and joined.

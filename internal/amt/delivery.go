@@ -114,8 +114,8 @@ type delivery struct {
 	seen map[pairKey]map[uint64]bool // guarded by mu
 
 	// dead marks ranks whose endpoints have been severed by a failure
-	// verdict. Allocated only on killable runtimes; sized from the config
-	// because newDelivery runs before the localities are built.
+	// verdict (SeverRank). Sized from the config because newDelivery runs
+	// before the localities are built.
 	dead []atomic.Bool
 
 	sent             atomic.Int64
@@ -140,15 +140,9 @@ func newDelivery(rt *Runtime, wire Transport, cfg DeliveryConfig, seed int64) *d
 		unacked:  make(map[pairKey]map[uint64]*sendEntry),
 		seen:     make(map[pairKey]map[uint64]bool),
 	}
-	if rt.killable || rt.cfg.World > 1 {
-		// Wire mode fences by global rank, so the dead table spans the world
-		// even though only one locality lives in this process.
-		n := rt.cfg.Localities
-		if rt.cfg.World > n {
-			n = rt.cfg.World
-		}
-		d.dead = make([]atomic.Bool, n)
-	}
+	// Wire mode fences by global rank, so the dead table spans the world
+	// even though only one locality lives in this process.
+	d.dead = make([]atomic.Bool, max(rt.cfg.Localities, rt.cfg.World))
 	return d
 }
 
@@ -158,9 +152,6 @@ func newDelivery(rt *Runtime, wire Transport, cfg DeliveryConfig, seed int64) *d
 // its pending unit — so retry loops aimed at a corpse end at the detector
 // verdict instead of hammering the wire until the delivery deadline.
 func (d *delivery) sever(rank int) {
-	if d.dead == nil {
-		return
-	}
 	d.dead[rank].Store(true)
 	var timers []*time.Timer
 	n := 0
@@ -234,7 +225,7 @@ func (d *delivery) purge() {
 
 // rankDead reports whether a rank's endpoints have been severed.
 func (d *delivery) rankDead(rank int32) bool {
-	return d.dead != nil && d.dead[rank].Load()
+	return d.dead[rank].Load()
 }
 
 // stats merges the delivery-layer counters with the wire's fault counters.
@@ -369,10 +360,9 @@ func (d *delivery) retry(e *sendEntry, action Task) {
 // the first copy spawns the action, later copies only bump the dedup
 // counter. Every copy acks (the previous ack may have been lost).
 func (d *delivery) onData(key pairKey, seq uint64, action Task) {
-	if d.rankDead(key.dst) || d.rt.Dead(int(key.dst)) {
-		// A dead rank processes nothing and acks nothing — even inside the
-		// detection window, before the verdict severs the endpoint. The
-		// sender retries until sever (or the deadline) settles the entry.
+	if d.rankDead(key.dst) {
+		// A severed rank processes nothing and acks nothing; the sender's
+		// entry was settled by the sever sweep.
 		return
 	}
 	if d.rt.shuttingDown.Load() {

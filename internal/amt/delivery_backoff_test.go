@@ -2,6 +2,7 @@ package amt
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -137,5 +138,56 @@ func TestDeliveryBackoffStopsOnAck(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if m := len(rw.sends()); m != n {
 		t.Fatalf("%d transmissions after the ack settled the entry", m-n)
+	}
+}
+
+// TestSeverStopsRetransmissionToDeadRank is the delivery-teardown test: a
+// dead rank never acks, so senders retransmit until the death verdict
+// severs its endpoints (SeverRank) — at which point every unacked entry
+// settles (Severed), the retry timers die (Retried stops moving), and no
+// goroutine is leaked spinning on the dead destination.
+func TestSeverStopsRetransmissionToDeadRank(t *testing.T) {
+	rt := New(Config{
+		Localities: 2, Workers: 1,
+		// A wire that loses everything: rank 1 is silent from the sender's
+		// side, exactly like a crashed process, so every parcel retransmits
+		// until the sever settles it.
+		Transport: NewFaultyTransport(FaultProfile{Seed: 1, Drop: 1.0}),
+		Delivery: DeliveryConfig{
+			RetryBase: time.Millisecond,
+			RetryMax:  4 * time.Millisecond,
+			Deadline:  120 * time.Second,
+		},
+	})
+	var ranOnDead atomic.Int64
+	stats := rt.Run(func() {
+		rt.Locality(0).Spawn(func(w *Worker) {
+			for i := 0; i < 8; i++ {
+				w.SendParcel(1, 100, func(*Worker) { ranOnDead.Add(1) })
+			}
+			// The verdict lands 25ms later, leaving the parcels
+			// retransmitting to a silent rank until then.
+			time.AfterFunc(25*time.Millisecond, func() { rt.SeverRank(1) })
+		})
+	})
+	if ranOnDead.Load() != 0 {
+		t.Fatalf("%d parcels executed on a dead rank", ranOnDead.Load())
+	}
+	ts := stats.Transport
+	if ts.Severed == 0 {
+		t.Error("no parcels were settled by the sever")
+	}
+	if ts.Retried == 0 {
+		t.Error("no retransmissions before the verdict; the loop was never exercised")
+	}
+	if ts.DeadlineExceeded != 0 {
+		t.Errorf("%d parcels hit the deadline; sever should have settled them first", ts.DeadlineExceeded)
+	}
+	// Leak check: all retry timers must be dead. Any survivor would bump
+	// Retried after the run.
+	before := rt.StatsNow().Transport.Retried
+	time.Sleep(30 * time.Millisecond)
+	if after := rt.StatsNow().Transport.Retried; after != before {
+		t.Errorf("retransmissions continued after the run: %d -> %d", before, after)
 	}
 }

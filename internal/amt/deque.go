@@ -204,22 +204,13 @@ type inbox struct {
 	n      atomic.Int64 // high + normal length, for lock-free empty checks
 	high   []Task       // guarded by mu
 	normal []Task       // guarded by mu
-	// closed marks the inbox of a crashed locality: add is rejected so a
-	// racing producer cannot strand a task (and its pending unit) in a
-	// queue no worker will ever drain again.
-	closed bool // guarded by mu
 }
 
-// add enqueues a task; it reports false when the inbox has been closed by a
-// locality crash, in which case the caller still owns the task.
+// add enqueues a task.
 //
 //dashmm:noalloc
-func (q *inbox) add(t Task, high bool) bool {
+func (q *inbox) add(t Task, high bool) {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
 	if high {
 		q.high = append(q.high, t)
 	} else {
@@ -227,26 +218,6 @@ func (q *inbox) add(t Task, high bool) bool {
 	}
 	q.n.Add(1)
 	q.mu.Unlock()
-	return true
-}
-
-// close rejects all future adds and discards what is queued, returning the
-// number of discarded tasks (the caller settles their pending units).
-// Idempotent: a second close returns 0.
-func (q *inbox) close() int {
-	q.mu.Lock()
-	dropped := len(q.high) + len(q.normal)
-	for i := range q.high {
-		q.high[i] = nil
-	}
-	for i := range q.normal {
-		q.normal[i] = nil
-	}
-	q.high, q.normal = q.high[:0], q.normal[:0]
-	q.n.Store(0)
-	q.closed = true
-	q.mu.Unlock()
-	return dropped
 }
 
 // drain moves every queued task into the worker's own deques (high lane

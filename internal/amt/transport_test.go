@@ -170,71 +170,3 @@ func TestDeliveryDeadlineExceeded(t *testing.T) {
 		t.Errorf("deadlineExceeded = %d, want %d", stats.Transport.DeadlineExceeded, n)
 	}
 }
-
-// TestLCOExactlyOnceOverFaultyWire wires the two halves together: parcel
-// inputs into an LCO over a dropping+duplicating wire must trigger it
-// exactly once with zero overflow — the delivery layer dedups before the
-// LCO ever sees an input.
-func TestLCOExactlyOnceOverFaultyWire(t *testing.T) {
-	const inputs = 64
-	rt := New(Config{
-		Localities: 2, Workers: 2, Seed: 6,
-		Transport: NewFaultyTransport(FaultProfile{Seed: 6, Drop: 0.2, Duplicate: 0.2}),
-		Delivery:  DeliveryConfig{RetryBase: time.Millisecond},
-	})
-	var sum atomic.Int64
-	var fired atomic.Int64
-	lco := NewLCO(rt.Locality(1), inputs)
-	rt.Run(func() {
-		lco.Register(func(w *Worker) { fired.Add(1) })
-		rt.Locality(0).Spawn(func(w *Worker) {
-			for i := 1; i <= inputs; i++ {
-				v := int64(i)
-				w.SendParcel(1, 32, func(w2 *Worker) {
-					lco.Input(func() { sum.Add(v) })
-				})
-			}
-		})
-	})
-	if fired.Load() != 1 {
-		t.Fatalf("LCO fired %d times", fired.Load())
-	}
-	if sum.Load() != inputs*(inputs+1)/2 {
-		t.Errorf("reduction = %d, want %d", sum.Load(), inputs*(inputs+1)/2)
-	}
-	if lco.Overflow() != 0 {
-		t.Errorf("overflow = %d: duplicate wire deliveries reached the LCO", lco.Overflow())
-	}
-}
-
-// TestMemputExactlyOnceOverFaultyWire: GAS writes ride SendParcel, so they
-// inherit reliable delivery — the done continuation runs exactly once.
-func TestMemputExactlyOnceOverFaultyWire(t *testing.T) {
-	rt := New(Config{
-		Localities: 2, Workers: 2, Seed: 7,
-		Transport: NewFaultyTransport(FaultProfile{Seed: 7, Drop: 0.3, Duplicate: 0.3}),
-		Delivery:  DeliveryConfig{RetryBase: time.Millisecond},
-	})
-	addr := rt.Alloc(1, 8)
-	var done atomic.Int64
-	var got []byte
-	rt.Run(func() {
-		rt.Locality(0).Spawn(func(w *Worker) {
-			w.Memput(addr, 0, []byte("parcels!"), func(w2 *Worker) {
-				done.Add(1)
-				b, ok := w2.TryPin(addr)
-				if !ok {
-					t.Error("memput destination not pinnable at owner")
-					return
-				}
-				got = append([]byte(nil), b...)
-			})
-		})
-	})
-	if done.Load() != 1 {
-		t.Fatalf("memput done continuation ran %d times", done.Load())
-	}
-	if string(got) != "parcels!" {
-		t.Errorf("block = %q after memput", got)
-	}
-}

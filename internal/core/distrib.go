@@ -21,9 +21,10 @@ import (
 // cluster's socket mesh with the amt delivery layer's seq/ack/retransmit
 // underneath.
 //
-// Process death is handled with the same DAG-recomputation insight as the
-// in-process coordinator (recover.go), adapted to the fact that a dead
-// process takes a whole address space with it: on a death verdict —
+// Process death is handled by DAG recomputation: a lost node can be
+// re-derived from its inputs, the insight of the data-driven FMM literature
+// the paper builds on. A dead process takes a whole address space with it,
+// so on a death verdict —
 // broadcast by rank 0 in a total order every rank observes identically —
 // each survivor independently (1) fences the corpse's wire endpoints,
 // (2) takes the rebuild set to be every node homed on the dead rank,
@@ -36,10 +37,41 @@ import (
 //
 // Concurrency discipline: node fires and parcel applies run under a shared
 // read lock; a death verdict takes the write lock, so recovery observes a
-// quiesced executor — no node is mid-fire, no parcel mid-install — and the
-// subtle orderings the in-process fast path needs (epoch snapshots,
-// staleness guards) are unnecessary here. The wire is the bottleneck in
-// this mode, not the lock.
+// quiesced executor — no node is mid-fire, no parcel mid-install — so no
+// epoch snapshots or staleness guards are needed. The wire is the
+// bottleneck in this mode, not the lock.
+
+// RecoveryStats reports the rank-death failover work of one distributed
+// evaluation, as seen by the reporting rank.
+type RecoveryStats struct {
+	// RanksKilled counts death verdicts this rank applied (including the
+	// job's PreDead list).
+	RanksKilled int
+	// NodesRebuilt counts DAG nodes this rank reset and re-executed after
+	// taking them over from a dead rank.
+	NodesRebuilt int64
+	// EdgesReplayed counts in-edges of rebuilt nodes this rank re-sent from
+	// its own already-fired sources.
+	EdgesReplayed int64
+	// StaleDropped counts frames discarded because they carried a dead
+	// rank's copy of state being rebuilt: parcels for a node this rank has
+	// taken over, and (on rank 0) a dead rank's target reports.
+	StaleDropped int64
+	// RecoveryWall is the total wall time spent applying death verdicts.
+	RecoveryWall time.Duration
+}
+
+func (r RecoveryStats) String() string {
+	return fmt.Sprintf("killed=%d rebuilt=%d replayed=%d stale=%d wall=%s",
+		r.RanksKilled, r.NodesRebuilt, r.EdgesReplayed, r.StaleDropped, r.RecoveryWall)
+}
+
+// inRef locates one in-edge of a node: source node and the index of the
+// edge within the source's Out list.
+type inRef struct {
+	src int32
+	out int32
+}
 
 // DistOptions configures one rank's participation in a distributed
 // evaluation.
@@ -75,7 +107,8 @@ type DistOptions struct {
 	// placement; failover composition is order-sensitive.
 	PreDead []int
 	// Cancel, when non-nil, aborts the run when closed (a serve request's
-	// deadline propagating into the fabric).
+	// deadline propagating into the fabric). Closing the rank's own cluster
+	// aborts the run the same way.
 	Cancel <-chan struct{}
 }
 
@@ -142,17 +175,20 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	}
 	dx.syncDeaths()
 
-	if opts.Cancel != nil {
-		cancelStop := make(chan struct{})
-		defer close(cancelStop)
-		go func() {
-			select {
-			case <-opts.Cancel:
-				dx.fail(fmt.Errorf("core: rank %d distributed evaluation canceled", cl.Rank()))
-			case <-cancelStop:
-			}
-		}()
-	}
+	// A canceled run or a closed cluster (this rank's sockets and heartbeat
+	// are gone; the survivors will fail its work over) ends the run now
+	// rather than at the timeout. A nil Cancel never fires.
+	runDone := make(chan struct{})
+	defer close(runDone)
+	go func() {
+		select {
+		case <-opts.Cancel:
+			dx.fail(fmt.Errorf("core: rank %d distributed evaluation canceled", cl.Rank()))
+		case <-cl.Closed():
+			dx.fail(fmt.Errorf("core: rank %d cluster closed during the distributed evaluation", cl.Rank()))
+		case <-runDone:
+		}
+	}()
 
 	timeout := time.AfterFunc(opts.Timeout, func() {
 		dx.gateMu.Lock()
@@ -197,10 +233,10 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 		Workers:     opts.Workers,
 		Recovery: RecoveryStats{
 			RanksKilled:   int(dx.deaths.Load()),
-			Recoveries:    int(dx.deaths.Load()),
 			NodesRebuilt:  dx.rebuilt.Load(),
 			EdgesReplayed: dx.replayed.Load(),
 			StaleDropped:  dx.staleDrops.Load(),
+			RecoveryWall:  time.Duration(dx.recoveryWall.Load()),
 		},
 	}
 	if dx.rank != 0 {
@@ -268,12 +304,15 @@ type distExec struct {
 	relOnce sync.Once
 	errMu   sync.Mutex
 	runErr  error // guarded by errMu
+	failed  atomic.Bool
 
 	deaths     atomic.Int64
 	rebuilt    atomic.Int64
 	replayed   atomic.Int64
 	decodeErrs atomic.Int64
 	staleDrops atomic.Int64
+	// recoveryWall accumulates the nanoseconds spent in applyDeath.
+	recoveryWall atomic.Int64
 }
 
 func newDistExec(p *Plan, st *state, cl *amt.Cluster, opts DistOptions) (*distExec, error) {
@@ -348,8 +387,26 @@ func (dx *distExec) fail(err error) {
 		dx.runErr = err
 	}
 	dx.errMu.Unlock()
+	dx.failed.Store(true)
 	dx.release()
 	dx.rt.Abort()
+}
+
+// halted reports whether this rank must stop working: its run failed, or
+// its cluster is closed — the rank is dead to its peers (sockets gone,
+// heartbeat silent) and the survivors are failing its work over. A halted
+// rank fires no node and processes no frame, exactly as a killed process
+// would, so the queue Run drains on the way out costs nothing.
+func (dx *distExec) halted() bool {
+	if dx.failed.Load() {
+		return true
+	}
+	select {
+	case <-dx.cl.Closed():
+		return true
+	default:
+		return false
+	}
 }
 
 func (dx *distExec) err() error {
@@ -384,6 +441,9 @@ func (dx *distExec) applyCharges(charges []float64) {
 // onWire is the inbound frame handler, running as a task on this rank's
 // scheduler.
 func (dx *distExec) onWire(w *amt.Worker, f amt.Frame) {
+	if dx.halted() {
+		return
+	}
 	switch f.Kind {
 	case wireKindCharges:
 		if dx.chargesReady.Load() {
@@ -395,26 +455,32 @@ func (dx *distExec) onWire(w *amt.Worker, f amt.Frame) {
 			return
 		}
 		dx.applyCharges(charges)
-	case wireKindParcel:
-		dx.handleParcel(w, f)
-	case wireKindResult:
-		dx.handleResult(f)
+	case wireKindParcel, wireKindResult:
+		dx.handleGated(w, f)
 	default:
 		dx.decodeErrs.Add(1)
 	}
 }
 
-// handleParcel processes one data parcel, deferring it while its
-// prerequisites (the charge broadcast, a death verdict this rank has not
-// yet observed) are outstanding. The defer/retry loop re-checks the gate
-// generation so a verdict landing between the attempt and the enqueue
+// handleGated processes one data parcel or result report, deferring it
+// while its prerequisites (the charge broadcast, a death verdict this rank
+// has not yet observed) are outstanding. The defer/retry loop re-checks the
+// gate generation so a verdict landing between the attempt and the enqueue
 // cannot strand a frame.
-func (dx *distExec) handleParcel(w *amt.Worker, f amt.Frame) {
+func (dx *distExec) handleGated(w *amt.Worker, f amt.Frame) {
 	for {
 		gen := dx.gateGen.Load()
 		dx.runMu.RLock()
-		ok := dx.tryParcel(w, f)
+		var ok, finished bool
+		if f.Kind == wireKindResult {
+			ok, finished = dx.tryResult(f)
+		} else {
+			ok = dx.tryParcel(w, f)
+		}
 		dx.runMu.RUnlock()
+		if finished {
+			dx.finishGather()
+		}
 		if ok {
 			return
 		}
@@ -486,7 +552,7 @@ func (dx *distExec) drainDeferred() {
 	loc := dx.rt.LocalLocality()
 	for _, f := range frames {
 		f := f
-		loc.Spawn(func(w *amt.Worker) { dx.handleParcel(w, f) })
+		loc.Spawn(func(w *amt.Worker) { dx.handleGated(w, f) })
 	}
 }
 
@@ -523,6 +589,9 @@ func (dx *distExec) deliverEdge(from *dag.Node, gidx int32, e dag.Edge) {
 // directly, remote edges coalesce into one typed parcel per destination
 // rank carrying the node's payload values.
 func (dx *distExec) runNode(w *amt.Worker, id int32) {
+	if dx.halted() {
+		return
+	}
 	dx.runMu.RLock()
 	defer dx.runMu.RUnlock()
 	if dx.fired[id].Swap(true) {
@@ -582,35 +651,51 @@ func (dx *distExec) completeLocal() {
 		}
 	}
 	if dx.rank == 0 {
-		dx.markCovered(ids)
+		if dx.cover(ids) {
+			dx.finishGather()
+		}
 		return
 	}
 	dx.rt.SendWire(0, wireKindResult, uint32(dx.deaths.Load()), dx.st.encodeResult(ids))
 }
 
-// handleResult installs a worker's completed-targets report (rank 0).
-func (dx *distExec) handleResult(f amt.Frame) {
-	if dx.rank != 0 {
+// tryResult installs a worker's completed-targets report (rank 0); ok
+// false means the report must wait, finished that it completed the gather.
+// A report stamped with more death verdicts than rank 0 has applied may
+// cover targets that rank 0's own pending failover is about to un-cover,
+// so it waits for that verdict. A report from a rank already declared dead
+// is dropped: its targets are being recomputed, and installing its copy
+// would clobber the recomputation.
+//
+//dashmm:locked distExec.runMu — called by handleGated under the read half, which excludes verdicts
+func (dx *distExec) tryResult(f amt.Frame) (ok, finished bool) {
+	if dx.rank != 0 || f.Src < 0 || f.Src >= dx.world {
 		dx.decodeErrs.Add(1)
-		return
+		return true, false
 	}
-	dx.runMu.RLock()
-	defer dx.runMu.RUnlock()
+	if f.Epoch > uint32(dx.deaths.Load()) {
+		return false, false
+	}
+	if dx.deadRanks[f.Src] {
+		dx.staleDrops.Add(1)
+		return true, false
+	}
 	dx.covMu.Lock()
 	ids, err := dx.st.installResult(f.Payload)
 	dx.covMu.Unlock()
 	if err != nil {
 		dx.decodeErrs.Add(1)
-		return
+		return true, false
 	}
-	//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
-	dx.markCovered(ids)
+	return true, dx.cover(ids)
 }
 
-// markCovered records gathered target nodes and completes the run once
-// every target is in: shut the cluster down and let everyone drain.
-func (dx *distExec) markCovered(ids []int32) {
+// cover records gathered target nodes, reporting whether they completed
+// the gather. Callers hold runMu (shared), so a verdict's un-covering of
+// rebuilt targets cannot interleave.
+func (dx *distExec) cover(ids []int32) bool {
 	dx.covMu.Lock()
+	defer dx.covMu.Unlock()
 	for _, id := range ids {
 		dx.covered[id] = true
 	}
@@ -618,11 +703,14 @@ func (dx *distExec) markCovered(ids []int32) {
 	if finished {
 		dx.done = true
 	}
-	dx.covMu.Unlock()
-	if finished {
-		dx.cl.Shutdown()
-		dx.release()
-	}
+	return finished
+}
+
+// finishGather completes the run: shut the cluster down and let everyone
+// drain.
+func (dx *distExec) finishGather() {
+	dx.cl.Shutdown()
+	dx.release()
 }
 
 // onDeath is the membership callback: one death verdict, observed in the
@@ -663,6 +751,18 @@ func (dx *distExec) applyDeath(deadRank int) {
 		dx.runMu.Unlock()
 		return
 	}
+	if dx.rank == 0 {
+		// A verdict landing after the gather completed changes nothing:
+		// the potentials are final and must not be reset under the caller.
+		dx.covMu.Lock()
+		finished := dx.done
+		dx.covMu.Unlock()
+		if finished {
+			dx.runMu.Unlock()
+			return
+		}
+	}
+	start := time.Now()
 	dx.rt.SeverRank(deadRank)
 	g := dx.g
 	dx.deadRanks[deadRank] = true
@@ -684,6 +784,20 @@ func (dx *distExec) applyDeath(deadRank int) {
 			inSet[i] = true
 			set = append(set, int32(i))
 		}
+	}
+
+	// The corpse's targets are recomputed by their new owners, so rank 0
+	// must gather them again even if the corpse reported them before dying:
+	// a target rebuilt on rank 0 itself is reset below, in the very buffer
+	// the gather reads.
+	if dx.rank == 0 {
+		dx.covMu.Lock()
+		for _, id := range set {
+			if g.Nodes[id].Kind == dag.NodeT {
+				delete(dx.covered, id)
+			}
+		}
+		dx.covMu.Unlock()
 	}
 
 	// Deterministic failover: every survivor computes the same new homes.
@@ -763,6 +877,7 @@ func (dx *distExec) applyDeath(deadRank int) {
 	}
 	dx.replayed.Add(replayed)
 	dx.runMu.Unlock()
+	dx.recoveryWall.Add(int64(time.Since(start)))
 
 	// A failover can only shrink a rank's unfinished set to empty outside
 	// runNode when the rank owned nothing new; re-check completion for the

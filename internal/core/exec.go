@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,14 +53,6 @@ type ExecOptions struct {
 	// Delivery tunes the reliable-delivery layer used when Fault is set
 	// (zero value = amt defaults).
 	Delivery amt.DeliveryConfig
-	// Detector arms the runtime's heartbeat failure detector and this
-	// package's crash-recovery coordinator (recover.go): a rank declared
-	// dead has its nodes failed over to the survivors and its orphaned DAG
-	// subgraph rebuilt and re-executed. Required when Crash is non-empty.
-	Detector *amt.FailureDetectorConfig
-	// Crash schedules injected locality crashes at DAG progress fractions
-	// (the chaos harness's knob). Requires Detector.
-	Crash []CrashPlan
 	// StallWindow, when positive, arms a watchdog that aborts the run with
 	// a diagnostic listing the unsatisfied LCOs (owner rank, arrived/needed
 	// counts) if no task executes for a full window, instead of hanging.
@@ -94,8 +87,8 @@ type ExecReport struct {
 	// RuntimeReused reports that the evaluation ran on a pooled runtime
 	// re-armed from a previous Run instead of a freshly built one.
 	RuntimeReused bool
-	// Recovery reports crash-recovery activity (zero-valued when no
-	// detector was armed or no rank died).
+	// Recovery reports rank-death failover activity of a distributed run
+	// (DistRun); always zero for an in-process evaluation.
 	Recovery RecoveryStats
 }
 
@@ -124,11 +117,11 @@ func (p *Plan) Evaluate(charges []float64, opts ExecOptions) ([]float64, ExecRep
 // ParallelEvaluation is a reusable parallel evaluation context over one
 // Plan: the expansion payloads, the LCO trigger counters and the node
 // continuations are allocated once, so steady-state runs allocate nothing
-// per evaluated edge. On the perfect-wire, detector-less configuration the
-// runtime itself is kept across Runs too (amt.Runtime.Reset re-arms it per
-// generation), so repeated evaluations skip the amt.New worker/deque setup;
-// fault-injected and detector-armed shapes fall back to a fresh single-shot
-// runtime per Run.
+// per evaluated edge. On the perfect-wire configuration the runtime itself
+// is kept across Runs too (amt.Runtime.Reset re-arms it per generation), so
+// repeated evaluations skip the amt.New worker/deque setup; fault-injected
+// and latency-modeled shapes fall back to a fresh single-shot runtime per
+// Run.
 type ParallelEvaluation struct {
 	plan *Plan
 	opts ExecOptions
@@ -165,16 +158,6 @@ func (p *Plan) NewParallelEvaluation(opts ExecOptions) (*ParallelEvaluation, err
 		ex.tasks[i] = func(w *amt.Worker) { ex.runNode(w, id) }
 	}
 	ex.initBatches(p, opts)
-	if len(opts.Crash) > 0 && opts.Detector == nil {
-		return nil, fmt.Errorf("core: ExecOptions.Crash requires ExecOptions.Detector")
-	}
-	if opts.Detector != nil {
-		rec, err := newRecovery(ex)
-		if err != nil {
-			return nil, err
-		}
-		ex.rec = rec
-	}
 	pe := &ParallelEvaluation{plan: p, opts: opts, ex: ex}
 	p.registerCtx(pe)
 	return pe, nil
@@ -215,20 +198,17 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 		ex.remaining[i].Store(g.Nodes[i].In)
 	}
 	ex.resetBatchPending()
-	if ex.rec != nil {
-		ex.rec.resetRun(opts.Localities, opts.Workers)
-	}
 	ex.stallMu.Lock()
 	ex.stallErr = nil
 	ex.stallMu.Unlock()
 
-	// Runtime: the perfect-wire, detector-less configuration (the serving
-	// hot path) keeps one runtime across Runs and re-arms it per generation
+	// Runtime: the perfect-wire configuration (the serving hot path) keeps
+	// one runtime across Runs and re-arms it per generation
 	// (amt.Runtime.Reset), skipping the worker/deque/delivery allocation of
-	// amt.New. Fault-injected, latency-modeled and detector-armed shapes are
-	// genuinely single-shot — their wire and fencing state encode one run's
-	// history — and get a fresh runtime every time.
-	reusable := opts.Fault == nil && opts.Detector == nil && opts.Latency == 0
+	// amt.New. Fault-injected and latency-modeled shapes are genuinely
+	// single-shot — their wire state encodes one run's history — and get a
+	// fresh runtime every time.
+	reusable := opts.Fault == nil && opts.Latency == 0
 	rt := e.rt
 	runtimeReused := false
 	if rt != nil {
@@ -251,21 +231,14 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 			Transport:  tp,
 			Delivery:   opts.Delivery,
 			Tracer:     opts.Tracer,
-			Detector:   opts.Detector,
 		})
 	}
 	if reusable {
 		e.rt = rt
 	}
 	ex.rt = rt
-	if ex.rec != nil {
-		rt.OnFailure(ex.rec.onRankFailure)
-	}
 
 	var stopWatchdog func()
-	if len(opts.Crash) > 0 {
-		ex.rec.armCrash(opts.Crash, len(g.Nodes))
-	}
 	if opts.StallWindow > 0 {
 		stopWatchdog = ex.runWatchdog(rt, opts.StallWindow)
 	}
@@ -287,14 +260,6 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 		stopWatchdog()
 	}
 
-	var recStats RecoveryStats
-	if ex.rec != nil {
-		recStats = ex.rec.stats()
-		recStats.RanksKilled = int(stats.RanksKilled)
-		if err := ex.rec.fatal(); err != nil {
-			return nil, ExecReport{}, err
-		}
-	}
 	if err := ex.stallError(); err != nil {
 		return nil, ExecReport{}, err
 	}
@@ -308,9 +273,6 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 			if ded := stats.Transport.DeadlineExceeded; ded > 0 {
 				err = fmt.Errorf("%w; %d parcels exceeded the delivery deadline", err, ded)
 			}
-			if stats.RanksKilled > 0 {
-				err = fmt.Errorf("%w; %d ranks crashed during the run", err, stats.RanksKilled)
-			}
 			return nil, ExecReport{}, err
 		}
 	}
@@ -323,7 +285,6 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 		Localities:    opts.Localities,
 		Workers:       opts.Workers,
 		RuntimeReused: runtimeReused,
-		Recovery:      recStats,
 	}, nil
 }
 
@@ -346,11 +307,7 @@ type executor struct {
 	batchPending []atomic.Int32
 	batchTasks   []amt.Task
 	batchScratch sync.Pool
-	// rec, when non-nil, switches node execution to the crash-recovery
-	// path (recover.go); nil leaves the hot path untouched.
-	rec *recovery
-	// stallMu/stallErr carry the watchdog diagnosis when no recovery state
-	// exists (the rec-armed variant lives on recovery).
+	// stallMu/stallErr carry the watchdog diagnosis (runWatchdog).
 	stallMu  sync.Mutex
 	stallErr error // guarded by stallMu
 }
@@ -368,7 +325,7 @@ func (ex *executor) isHigh(id int32) bool {
 // parcelEdges is a pooled remote-edge list: the out edges of one node
 // bound for one destination locality. Ownership passes to the parcel
 // action, which recycles it after delivering every edge. idx carries the
-// matching global edge indexes in recovery mode (empty on the hot path).
+// matching out-edge indexes on the distributed path (empty in-process).
 type parcelEdges struct {
 	edges []dag.Edge
 	idx   []int32
@@ -400,8 +357,9 @@ func (b *remoteBatch) add(dest int32, e dag.Edge) {
 	b.lists = append(b.lists, pe)
 }
 
-// addIdx is the recovery-mode variant of add: it also records the edge's
-// global index so the receiver can mark the applied bit.
+// addIdx is the distributed variant of add: it also records the edge's
+// index within the source's Out list, from which the receiver derives the
+// edge's dedup bit.
 //
 //dashmm:noalloc
 func (b *remoteBatch) addIdx(dest int32, e dag.Edge, gidx int32) {
@@ -433,10 +391,6 @@ func (b *remoteBatch) release() {
 // runs once per evaluation, when the node's LCO triggers (all inputs
 // arrived).
 func (ex *executor) runNode(w *amt.Worker, id int32) {
-	if ex.rec != nil {
-		ex.runNodeRecov(w, id)
-		return
-	}
 	n := &ex.g.Nodes[id]
 	myLoc := int32(w.Rank())
 	// Local edges first, sequentially: the large input payload is reused
@@ -522,4 +476,78 @@ func (ex *executor) fireNode(w *amt.Worker, id int32) {
 	default:
 		ex.rt.Locality(int(to.Locality)).Spawn(ex.tasks[to.ID])
 	}
+}
+
+// runWatchdog samples execution progress and, if no task runs for a full
+// window, diagnoses the stall — listing every unsatisfied LCO with its
+// owner rank and arrived/needed counts — and aborts the run instead of
+// hanging. The returned stop function joins the goroutine.
+func (ex *executor) runWatchdog(rt *amt.Runtime, window time.Duration) func() {
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		last := rt.TasksExecuted()
+		lastChange := time.Now()
+		tick := time.NewTicker(window / 4)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				cur := rt.TasksExecuted()
+				if cur != last {
+					last = cur
+					lastChange = time.Now()
+					continue
+				}
+				if time.Since(lastChange) < window {
+					continue
+				}
+				err := ex.diagnoseStall(window)
+				ex.stallMu.Lock()
+				ex.stallErr = err
+				ex.stallMu.Unlock()
+				rt.Abort()
+				return
+			}
+		}
+	}()
+	return func() {
+		close(stop)
+		<-done
+	}
+}
+
+// diagnoseStall renders the unsatisfied-LCO listing of a stalled run.
+func (ex *executor) diagnoseStall(window time.Duration) error {
+	const maxListed = 16
+	var sb strings.Builder
+	stuck := 0
+	for i := range ex.remaining {
+		rem := ex.remaining[i].Load()
+		if rem <= 0 {
+			continue
+		}
+		stuck++
+		if stuck > maxListed {
+			continue
+		}
+		n := &ex.g.Nodes[i]
+		fmt.Fprintf(&sb, "\n  node %d (%v) on rank %d: %d/%d inputs arrived",
+			i, n.Kind, n.Locality, n.In-rem, n.In)
+	}
+	if stuck > maxListed {
+		fmt.Fprintf(&sb, "\n  ... and %d more", stuck-maxListed)
+	}
+	return fmt.Errorf("core: evaluation stalled (no task ran for %s); %d unsatisfied LCOs:%s",
+		window, stuck, sb.String())
+}
+
+// stallError returns the watchdog's diagnosis, if any.
+func (ex *executor) stallError() error {
+	ex.stallMu.Lock()
+	defer ex.stallMu.Unlock()
+	return ex.stallErr
 }

@@ -265,3 +265,49 @@ func TestPriorityExecutionMatchesAndBiasesOrder(t *testing.T) {
 			withPrio, withoutPrio)
 	}
 }
+
+// TestWatchdogDiagnosesStall: a run that can make no progress (every
+// remote parcel dropped, deadline far away) must be aborted by the
+// watchdog with a diagnostic listing the unsatisfied LCOs.
+func TestWatchdogDiagnosesStall(t *testing.T) {
+	plan, q, _ := testPlan(t, dag.Advanced, 1000)
+	start := time.Now()
+	_, _, err := plan.Evaluate(q, ExecOptions{
+		Localities: 2, Workers: 1, Seed: 3,
+		Fault: &amt.FaultProfile{Seed: 3, Drop: 1.0},
+		Delivery: amt.DeliveryConfig{
+			RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
+			Deadline: 120 * time.Second,
+		},
+		StallWindow: 300 * time.Millisecond,
+	})
+	if err == nil {
+		t.Fatal("stalled evaluation reported success")
+	}
+	if time.Since(start) > 30*time.Second {
+		t.Fatalf("watchdog took %s to fire", time.Since(start))
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "stalled") {
+		t.Fatalf("error does not say stalled: %v", err)
+	}
+	if !strings.Contains(msg, "unsatisfied LCO") || !strings.Contains(msg, "inputs arrived") {
+		t.Errorf("diagnostic does not list unsatisfied LCOs: %v", err)
+	}
+	if !strings.Contains(msg, "on rank") {
+		t.Errorf("diagnostic does not name owner ranks: %v", err)
+	}
+}
+
+// TestWatchdogQuietOnHealthyRun: the watchdog must not fire on a run that
+// completes normally.
+func TestWatchdogQuietOnHealthyRun(t *testing.T) {
+	plan, q, want := testPlan(t, dag.Advanced, 1500)
+	got, _, err := plan.Evaluate(q, ExecOptions{
+		Localities: 2, Workers: 2, StallWindow: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, got, want, 1e-9)
+}

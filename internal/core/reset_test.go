@@ -88,25 +88,3 @@ func TestPlanResetReexecutable(t *testing.T) {
 		t.Errorf("pooling did not resume after Reset: reused=%v err=%v", rep.RuntimeReused, err)
 	}
 }
-
-// Single-shot configurations (fault wire, detector) must not pool the
-// runtime: their wire and fencing state encode one run's history.
-func TestRuntimeNotReusedWithDetector(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 1500)
-	pe, err := plan.NewParallelEvaluation(ExecOptions{
-		Localities: 2, Workers: 2, Detector: testDetector(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 2; run++ {
-		got, rep, err := pe.Run(q)
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		assertSame(t, got, want, 1e-9)
-		if rep.RuntimeReused {
-			t.Fatalf("run %d reused a detector-armed runtime", run)
-		}
-	}
-}

@@ -30,21 +30,8 @@ const (
 	ClassNetDeadline uint8 = 0xF3
 )
 
-// Recovery event classes: the crash-recovery machinery records one
-// zero-duration marker per lifecycle step — a locality killed (injected
-// crash or detector fencing), a failure-detector verdict, an ownership
-// failover, and the seeding of an orphaned-subgraph replay. They occupy
-// 0xE0.. so they collide with neither operator classes nor the 0xF0..
-// transport markers.
-const (
-	ClassRecoveryKill     uint8 = 0xE0
-	ClassRecoveryDetect   uint8 = 0xE1
-	ClassRecoveryFailover uint8 = 0xE2
-	ClassRecoveryReplay   uint8 = 0xE3
-)
-
-// NetClassName names a transport or recovery marker event class ("" for
-// operator classes).
+// NetClassName names a transport marker event class ("" for operator
+// classes).
 func NetClassName(c uint8) string {
 	switch c {
 	case ClassNetRetry:
@@ -55,14 +42,6 @@ func NetClassName(c uint8) string {
 		return "net-dup"
 	case ClassNetDeadline:
 		return "net-deadline"
-	case ClassRecoveryKill:
-		return "recovery-kill"
-	case ClassRecoveryDetect:
-		return "recovery-detect"
-	case ClassRecoveryFailover:
-		return "recovery-failover"
-	case ClassRecoveryReplay:
-		return "recovery-replay"
 	}
 	return ""
 }
@@ -261,8 +240,8 @@ func Span(events []Event) (start, end int64) {
 }
 
 // AvgMicrosByClass returns the average event duration per class in
-// microseconds (the t_avg column of Table II). Transport and recovery
-// marker classes (the zero-duration 0xE0../0xF0.. events) are excluded:
+// microseconds (the t_avg column of Table II). Transport
+// marker classes (the zero-duration 0xF0.. events) are excluded:
 // they are occurrence counters, not timed operator executions, and
 // averaging them would emit meaningless 0µs rows in the Table II output.
 func AvgMicrosByClass(events []Event) map[uint8]float64 {

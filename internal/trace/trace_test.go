@@ -285,7 +285,7 @@ func TestAvgMicrosByClass(t *testing.T) {
 	}
 }
 
-// Regression: the zero-duration transport/recovery marker classes must not
+// Regression: the zero-duration transport marker classes must not
 // appear in the Table II averages — they are occurrence counters, and their
 // 0µs rows used to pollute the table (and any operator class that shared a
 // class byte with a marker would have had its average dragged down).
@@ -294,8 +294,8 @@ func TestAvgMicrosByClassExcludesMarkers(t *testing.T) {
 		{Class: 7, Start: 0, End: 2000},
 		{Class: ClassNetRetry, Start: 100, End: 100},
 		{Class: ClassNetDrop, Start: 200, End: 200},
-		{Class: ClassRecoveryKill, Start: 300, End: 300},
-		{Class: ClassRecoveryReplay, Start: 400, End: 400},
+		{Class: ClassNetDup, Start: 300, End: 300},
+		{Class: ClassNetDeadline, Start: 400, End: 400},
 	}
 	avg := AvgMicrosByClass(events)
 	if len(avg) != 1 {
@@ -304,8 +304,7 @@ func TestAvgMicrosByClassExcludesMarkers(t *testing.T) {
 	if math.Abs(avg[7]-2) > 1e-9 {
 		t.Errorf("avg class 7 = %v, want 2", avg[7])
 	}
-	for _, c := range []uint8{ClassNetRetry, ClassNetDrop, ClassNetDup, ClassNetDeadline,
-		ClassRecoveryKill, ClassRecoveryDetect, ClassRecoveryFailover, ClassRecoveryReplay} {
+	for _, c := range []uint8{ClassNetRetry, ClassNetDrop, ClassNetDup, ClassNetDeadline} {
 		if _, ok := avg[c]; ok {
 			t.Errorf("marker class %#x (%s) present in averages", c, NetClassName(c))
 		}
@@ -354,7 +353,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// Round trip including the zero-duration transport/recovery marker classes:
+// Round trip including the zero-duration transport marker classes:
 // markers travel the same serialization as operator events and must survive
 // unchanged (class byte, zero duration, negative worker id).
 func TestJSONRoundTripMarkerClasses(t *testing.T) {
@@ -362,8 +361,8 @@ func TestJSONRoundTripMarkerClasses(t *testing.T) {
 		{Class: 1, Worker: 0, Locality: 0, Start: 10, End: 20},
 		{Class: ClassNetRetry, Worker: -1, Locality: 2, Start: 15, End: 15},
 		{Class: ClassNetDeadline, Worker: -1, Locality: 0, Start: 16, End: 16},
-		{Class: ClassRecoveryKill, Worker: -1, Locality: 1, Start: 17, End: 17},
-		{Class: ClassRecoveryFailover, Worker: -1, Locality: 3, Start: 18, End: 18},
+		{Class: ClassNetDrop, Worker: -1, Locality: 1, Start: 17, End: 17},
+		{Class: ClassNetDup, Worker: -1, Locality: 3, Start: 18, End: 18},
 		{Class: 9, Worker: 3, Locality: 1, Start: 25, End: 40},
 	}
 	var buf bytes.Buffer

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Runs the hot-path benchmark suite (lock-free deque, cached M→L
-# operators, batched multi-RHS M→L, zero-allocation evaluation, and the
-# detector-armed hot path — the 'BenchmarkEvaluateHotPath' pattern matches
-# the plain, Detector, and Batched variants) and writes the results as
+# operators, batched multi-RHS M→L, zero-allocation evaluation — the
+# 'BenchmarkEvaluateHotPath' pattern matches the plain and Batched
+# variants) and writes the results as
 # machine-readable JSON to BENCH_hotpath.json in the repository root.
 # A pre-existing BENCH_hotpath.json is kept as BENCH_hotpath.prev.json and
 # a ns/op comparison is printed; a missing prior file is fine — the
@@ -167,24 +167,6 @@ END { print "\n]" }
 ' "$raw" > BENCH_hotpath.json
 
 echo "wrote BENCH_hotpath.json"
-
-# Failure-detector overhead on a crash-free run: the Detector variant of
-# the evaluation benchmark against the plain one from the same run. The
-# heartbeat is one atomic counter bump per task plus an idle monitor
-# goroutine, so this is expected to sit within run-to-run noise.
-awk '
-match($0, /"name": "[^"]*"/) {
-    name = substr($0, RSTART + 9, RLENGTH - 10)
-    if (match($0, /"ns_per_op": [0-9.e+]*/))
-        ns[name] = substr($0, RSTART + 13, RLENGTH - 13)
-}
-END {
-    base = ns["BenchmarkEvaluateHotPath"]
-    det = ns["BenchmarkEvaluateHotPathDetector"]
-    if (base + 0 > 0 && det + 0 > 0)
-        printf "detector-enabled no-crash overhead: %s -> %s ns/op (%+.1f%%)\n", base, det, (det - base) / base * 100
-}
-' BENCH_hotpath.json
 
 # Batched-execution win on the dense-M2L method: the per-edge sub-benchmark
 # of the Basic-method hot path against the batched default from the same
